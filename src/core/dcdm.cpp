@@ -14,14 +14,9 @@ DcdmTree::DcdmTree(const graph::Graph& g, const graph::AllPairsPaths& paths,
     : g_(&g),
       paths_(&paths),
       cfg_(cfg),
-      tree_(root, g.num_nodes()),
+      tree_(g, root),
       admitted_bound_(static_cast<std::size_t>(g.num_nodes()),
-                      std::numeric_limits<double>::quiet_NaN()),
-      scratch_old_parent_(static_cast<std::size_t>(g.num_nodes()),
-                          graph::kInvalidNode),
-      scratch_was_on_tree_(static_cast<std::size_t>(g.num_nodes()), 0),
-      scratch_old_delay_(static_cast<std::size_t>(g.num_nodes()),
-                         std::numeric_limits<double>::quiet_NaN()) {
+                      std::numeric_limits<double>::quiet_NaN()) {
   SCMP_EXPECTS(cfg.delay_slack >= 1.0);
   scratch_graft_.reserve(static_cast<std::size_t>(g.num_nodes()));
 }
@@ -46,9 +41,8 @@ double DcdmTree::delay_bound_for(graph::NodeId joining) const {
   // cfg_.delay_slack verbatim, never computed, so the bits match exactly)
   if (cfg_.delay_slack == kLoosest) return kLoosest;
   double max_ul = unicast_delay(joining);
-  for (graph::NodeId m = 0; m < g_->num_nodes(); ++m) {
-    if (tree_.is_member(m)) max_ul = std::max(max_ul, unicast_delay(m));
-  }
+  for (graph::NodeId m : tree_.unordered_members())
+    max_ul = std::max(max_ul, unicast_delay(m));
   return std::max(cfg_.delay_slack * max_ul, tree_.tree_delay(*g_));
 }
 
@@ -106,12 +100,17 @@ JoinResult DcdmTree::join(graph::NodeId s) {
       have_best = true;
     }
   };
-  for (graph::NodeId t = 0; t < g_->num_nodes(); ++t) {
-    if (!tree_.on_tree(t)) continue;
+  // The winner is the minimum of a total order, so the walk order over the
+  // tree does not matter; each node offers P_sl before P_lc.
+  const auto score = [&](graph::NodeId t) {
     const double td = tree_.node_delay(*g_, t);
     consider(t, td, paths_->sl_delay(t, s), paths_->sl_cost(t, s), true);
     consider(t, td, paths_->lc_delay(t, s), paths_->lc_cost(t, s), false);
-  }
+    return true;
+  };
+  score(tree_.root());
+  tree_.walk_below(tree_.root(),
+                   [&](graph::NodeId t, graph::NodeId) { return score(t); });
   static obs::Counter& candidates_scanned = obs::counter("dcdm.join.candidates");
   candidates_scanned.inc(candidates);
   // The shortest-delay path from the root is always feasible
@@ -123,52 +122,19 @@ JoinResult DcdmTree::join(graph::NodeId s) {
     paths_->lc_path_into(best_graft, s, scratch_graft_);
   }
 
-  // Snapshot parents to detect loop-elimination restructuring, and member
-  // delays so restructure-moved members can be re-admitted at their new
-  // multicast delay. One pass fully re-initializes every scratch slot, so
-  // stale values from earlier joins never leak into this one.
-  for (graph::NodeId v = 0; v < g_->num_nodes(); ++v) {
-    const auto idx = static_cast<std::size_t>(v);
-    if (tree_.on_tree(v)) {
-      scratch_was_on_tree_[idx] = 1;
-      scratch_old_parent_[idx] = tree_.parent(v);
-      scratch_old_delay_[idx] = tree_.is_member(v)
-                                    ? tree_.node_delay(*g_, v)
-                                    : std::numeric_limits<double>::quiet_NaN();
-    } else {
-      scratch_was_on_tree_[idx] = 0;
-      scratch_old_parent_[idx] = graph::kInvalidNode;
-      scratch_old_delay_[idx] = std::numeric_limits<double>::quiet_NaN();
-    }
-  }
-
-  tree_.graft_path(scratch_graft_);
+  const graph::TreeChange& change = tree_.graft_path(scratch_graft_);
   tree_.set_member(s, true);
   record_admission(s, bound);
-  for (graph::NodeId m = 0; m < g_->num_nodes(); ++m) {
-    const double before = scratch_old_delay_[static_cast<std::size_t>(m)];
-    if (std::isnan(before)) continue;  // was not a member pre-graft
-    const double after = tree_.node_delay(*g_, m);
-    // determinism: allow(change detection: before is a cached copy of the
-    // same deterministic node_delay computation, so an unchanged delay is
-    // bit-identical and a changed one differs in value, not in rounding)
-    if (after != before) {
-      record_admission(
-          m, std::max(admitted_bound_[static_cast<std::size_t>(m)], after));
-    }
+  // A loop-eliminating restructure moved these members' root paths:
+  // re-admit each at its new multicast delay.
+  for (graph::NodeId m : change.redelayed) {
+    if (tree_.is_member(m))
+      record_admission(m, std::max(admitted_bound_[static_cast<std::size_t>(m)],
+                                   tree_.node_delay(*g_, m)));
   }
   result.graft_path = scratch_graft_;
-
-  for (graph::NodeId v = 0; v < g_->num_nodes(); ++v) {
-    if (!scratch_was_on_tree_[static_cast<std::size_t>(v)]) continue;
-    if (!tree_.on_tree(v)) {
-      result.removed_nodes.push_back(v);
-      result.restructured = true;
-    } else if (tree_.parent(v) !=
-               scratch_old_parent_[static_cast<std::size_t>(v)]) {
-      result.restructured = true;
-    }
-  }
+  result.removed_nodes = change.removed;
+  result.restructured = !change.removed.empty() || !change.reparented.empty();
   if (result.restructured) {
     static obs::Counter& restructures = obs::counter("dcdm.restructures");
     restructures.inc();
@@ -187,16 +153,7 @@ LeaveResult DcdmTree::leave(graph::NodeId s) {
   admitted_bound_[static_cast<std::size_t>(s)] =
       std::numeric_limits<double>::quiet_NaN();
 
-  for (graph::NodeId v = 0; v < g_->num_nodes(); ++v)
-    scratch_was_on_tree_[static_cast<std::size_t>(v)] =
-        tree_.on_tree(v) ? 1 : 0;
-
-  tree_.prune_upward_from(s);
-
-  for (graph::NodeId v = 0; v < g_->num_nodes(); ++v) {
-    if (scratch_was_on_tree_[static_cast<std::size_t>(v)] && !tree_.on_tree(v))
-      result.removed_nodes.push_back(v);
-  }
+  result.removed_nodes = tree_.prune_upward_from(s).removed;
   SCMP_ENSURES(tree_.validate(*g_));
   return result;
 }

@@ -86,13 +86,9 @@ class DcdmTree {
   /// Per-member admitted bound (see admitted_bound); unused slots hold NaN.
   std::vector<double> admitted_bound_;
 
-  // Per-instance scratch, sized once for the graph: join() is the m-router's
-  // hot path and must not allocate per call (tools/lint.py hot-path-alloc).
-  std::vector<graph::NodeId> scratch_old_parent_;
-  std::vector<char> scratch_was_on_tree_;
-  /// Pre-graft multicast delay per member; NaN for non-members.
-  std::vector<double> scratch_old_delay_;
-  /// Winning graft path, materialized once per join via path_to_into().
+  /// Winning graft path, materialized once per join via path_to_into():
+  /// join() is the m-router's hot path and must not allocate per call
+  /// (tools/lint.py hot-path-alloc).
   std::vector<graph::NodeId> scratch_graft_;
 };
 

@@ -4,53 +4,71 @@
 
 namespace scmp::graph {
 
-MulticastTree::MulticastTree(NodeId root, int num_nodes) : root_(root) {
+namespace {
+
+std::size_t idx(NodeId v) { return static_cast<std::size_t>(v); }
+
+}  // namespace
+
+MulticastTree::MulticastTree(const Graph& g, NodeId root)
+    : g_(&g), root_(root) {
+  const int num_nodes = g.num_nodes();
   SCMP_EXPECTS(num_nodes > 0 && root >= 0 && root < num_nodes);
-  parent_.assign(static_cast<std::size_t>(num_nodes), kInvalidNode);
-  on_tree_.assign(static_cast<std::size_t>(num_nodes), 0);
-  member_.assign(static_cast<std::size_t>(num_nodes), 0);
-  children_.resize(static_cast<std::size_t>(num_nodes));
-  on_tree_[static_cast<std::size_t>(root)] = 1;
+  parent_.assign(idx(num_nodes), kInvalidNode);
+  on_tree_.assign(idx(num_nodes), 0);
+  member_.assign(idx(num_nodes), 0);
+  delay_.assign(idx(num_nodes), 0.0);
+  children_.resize(idx(num_nodes));
+  mark_.assign(idx(num_nodes), kClean);
+  on_tree_[idx(root)] = 1;
   tree_size_ = 1;
 }
 
 bool MulticastTree::on_tree(NodeId v) const {
   SCMP_EXPECTS(v >= 0 && v < num_nodes());
-  return on_tree_[static_cast<std::size_t>(v)] != 0;
+  return on_tree_[idx(v)] != 0;
 }
 
 NodeId MulticastTree::parent(NodeId v) const {
   SCMP_EXPECTS(on_tree(v));
-  return parent_[static_cast<std::size_t>(v)];
+  return parent_[idx(v)];
 }
 
 const std::vector<NodeId>& MulticastTree::children(NodeId v) const {
   SCMP_EXPECTS(v >= 0 && v < num_nodes());
-  return children_[static_cast<std::size_t>(v)];
+  return children_[idx(v)];
 }
 
 bool MulticastTree::is_member(NodeId v) const {
   SCMP_EXPECTS(v >= 0 && v < num_nodes());
-  return member_[static_cast<std::size_t>(v)] != 0;
+  return member_[idx(v)] != 0;
 }
 
 void MulticastTree::set_member(NodeId v, bool member) {
   SCMP_EXPECTS(!member || on_tree(v));
-  member_[static_cast<std::size_t>(v)] = member ? 1 : 0;
+  char& flag = member_[idx(v)];
+  if (member && !flag) {
+    member_list_.push_back(v);
+  } else if (!member && flag) {
+    const auto it = std::find(member_list_.begin(), member_list_.end(), v);
+    SCMP_ASSERT(it != member_list_.end());
+    *it = member_list_.back();
+    member_list_.pop_back();
+  }
+  flag = member ? 1 : 0;
 }
 
 std::vector<NodeId> MulticastTree::members() const {
-  std::vector<NodeId> out;
-  for (NodeId v = 0; v < num_nodes(); ++v)
-    if (member_[static_cast<std::size_t>(v)]) out.push_back(v);
+  std::vector<NodeId> out = member_list_;
+  std::sort(out.begin(), out.end());
   return out;
 }
 
 std::vector<NodeId> MulticastTree::on_tree_nodes() const {
   std::vector<NodeId> out;
-  out.reserve(static_cast<std::size_t>(tree_size_));
+  out.reserve(idx(tree_size_));
   for (NodeId v = 0; v < num_nodes(); ++v)
-    if (on_tree_[static_cast<std::size_t>(v)]) out.push_back(v);
+    if (on_tree_[idx(v)]) out.push_back(v);
   return out;
 }
 
@@ -58,42 +76,65 @@ bool MulticastTree::is_leaf(NodeId v) const {
   return on_tree(v) && children(v).empty();
 }
 
+void MulticastTree::log_touch(NodeId v) {
+  char& mark = mark_[idx(v)];
+  if (mark != kClean) return;  // already logged, or attached by this call
+  mark = kLogged;
+  touched_.push_back({v, parent_[idx(v)], delay_[idx(v)]});
+}
+
 void MulticastTree::attach(NodeId child, NodeId parent) {
   SCMP_EXPECTS(on_tree(parent));
   SCMP_EXPECTS(child != root_);
-  parent_[static_cast<std::size_t>(child)] = parent;
-  children_[static_cast<std::size_t>(parent)].push_back(child);
-  if (!on_tree_[static_cast<std::size_t>(child)]) {
-    on_tree_[static_cast<std::size_t>(child)] = 1;
+  const EdgeAttr* e = g_->edge(child, parent);
+  SCMP_EXPECTS(e != nullptr);
+  if (!on_tree_[idx(child)]) {
+    // Off-tree and untouched means off-tree before this call too.
+    if (mark_[idx(child)] == kClean) mark_[idx(child)] = kFresh;
+    on_tree_[idx(child)] = 1;
     ++tree_size_;
   }
+  parent_[idx(child)] = parent;
+  children_[idx(parent)].push_back(child);
+  delay_[idx(child)] = delay_[idx(parent)] + e->delay;
+  refresh_below(child);
+}
+
+void MulticastTree::refresh_below(NodeId top) {
+  walk_below(top, [this](NodeId c, NodeId p) {
+    log_touch(c);
+    const EdgeAttr* e = g_->edge(c, p);
+    SCMP_EXPECTS(e != nullptr);
+    delay_[idx(c)] = delay_[idx(p)] + e->delay;
+    return true;
+  });
 }
 
 void MulticastTree::detach(NodeId child) {
-  const NodeId p = parent_[static_cast<std::size_t>(child)];
+  const NodeId p = parent_[idx(child)];
   if (p == kInvalidNode) return;
-  auto& sib = children_[static_cast<std::size_t>(p)];
+  auto& sib = children_[idx(p)];
   sib.erase(std::remove(sib.begin(), sib.end(), child), sib.end());
-  parent_[static_cast<std::size_t>(child)] = kInvalidNode;
+  parent_[idx(child)] = kInvalidNode;
 }
 
 void MulticastTree::remove_node(NodeId v) {
-  SCMP_EXPECTS(v != root_ && on_tree(v) && children(v).empty());
+  SCMP_EXPECTS(v != root_ && on_tree(v) && children(v).empty() &&
+               !is_member(v));
+  log_touch(v);
   detach(v);
-  on_tree_[static_cast<std::size_t>(v)] = 0;
-  member_[static_cast<std::size_t>(v)] = 0;
+  on_tree_[idx(v)] = 0;
   --tree_size_;
 }
 
 bool MulticastTree::is_ancestor(NodeId anc, NodeId v) const {
-  for (NodeId cur = v; cur != kInvalidNode;
-       cur = parent_[static_cast<std::size_t>(cur)]) {
+  for (NodeId cur = v; cur != kInvalidNode; cur = parent_[idx(cur)]) {
     if (cur == anc) return true;
   }
   return false;
 }
 
-void MulticastTree::graft_path(const std::vector<NodeId>& path) {
+const TreeChange& MulticastTree::graft_path(const std::vector<NodeId>& path) {
   SCMP_EXPECTS(!path.empty());
   SCMP_EXPECTS(on_tree(path.front()));
   NodeId prev = path.front();
@@ -103,39 +144,72 @@ void MulticastTree::graft_path(const std::vector<NodeId>& path) {
     if (cur == prev) continue;
     if (!on_tree(cur)) {
       attach(cur, prev);
-    } else if (parent_[static_cast<std::size_t>(cur)] == prev) {
+    } else if (parent_[idx(cur)] == prev) {
       // Path segment already coincides with a tree edge.
     } else if (cur == root_ || is_ancestor(cur, prev)) {
       // Re-parenting cur under prev would create a cycle; the new segment
       // ending at prev is the redundant branch, so prune it instead.
-      prune_upward_from(prev);
+      prune_from(prev);
     } else {
       // Loop elimination (paper Fig. 5): cur joins the new path, and the old
       // branch that led into it is pruned upward.
-      const NodeId old_parent = parent_[static_cast<std::size_t>(cur)];
+      const NodeId old_parent = parent_[idx(cur)];
+      log_touch(cur);
       detach(cur);
       attach(cur, prev);
-      if (old_parent != kInvalidNode) prune_upward_from(old_parent);
+      if (old_parent != kInvalidNode) prune_from(old_parent);
     }
     prev = cur;
   }
+  return finish_change(path);
 }
 
-void MulticastTree::prune_upward_from(NodeId v) {
+const TreeChange& MulticastTree::prune_upward_from(NodeId v) {
+  prune_from(v);
+  return finish_change({});
+}
+
+void MulticastTree::prune_from(NodeId v) {
   NodeId cur = v;
   while (cur != root_ && on_tree(cur) && children(cur).empty() &&
          !is_member(cur)) {
-    const NodeId p = parent_[static_cast<std::size_t>(cur)];
+    const NodeId p = parent_[idx(cur)];
     remove_node(cur);
     cur = p;
   }
 }
 
+const TreeChange& MulticastTree::finish_change(
+    const std::vector<NodeId>& fresh) {
+  change_.reparented.clear();
+  change_.removed.clear();
+  change_.redelayed.clear();
+  for (const Touched& t : touched_) {
+    mark_[idx(t.v)] = kClean;
+    if (!on_tree_[idx(t.v)]) {
+      change_.removed.push_back(t.v);
+      continue;
+    }
+    if (parent_[idx(t.v)] != t.old_parent) change_.reparented.push_back(t.v);
+    const double delay = delay_[idx(t.v)];
+    // determinism: allow(change detection: old_delay is a copy of the same
+    // cached root-first sum, so an unchanged delay is bit-identical and a
+    // changed one differs in value, not in rounding)
+    if (delay != t.old_delay) change_.redelayed.push_back(t.v);
+  }
+  touched_.clear();
+  // Marks of nodes this call attached fresh; they all lie on the path.
+  for (NodeId v : fresh) mark_[idx(v)] = kClean;
+  std::sort(change_.reparented.begin(), change_.reparented.end());
+  std::sort(change_.removed.begin(), change_.removed.end());
+  std::sort(change_.redelayed.begin(), change_.redelayed.end());
+  return change_;
+}
+
 std::vector<NodeId> MulticastTree::path_from_root(NodeId v) const {
   SCMP_EXPECTS(on_tree(v));
   std::vector<NodeId> path;
-  for (NodeId cur = v; cur != kInvalidNode;
-       cur = parent_[static_cast<std::size_t>(cur)])
+  for (NodeId cur = v; cur != kInvalidNode; cur = parent_[idx(cur)])
     path.push_back(cur);
   std::reverse(path.begin(), path.end());
   SCMP_ENSURES(path.front() == root_);
@@ -145,8 +219,8 @@ std::vector<NodeId> MulticastTree::path_from_root(NodeId v) const {
 double MulticastTree::tree_cost(const Graph& g) const {
   double total = 0.0;
   for (NodeId v = 0; v < num_nodes(); ++v) {
-    if (!on_tree_[static_cast<std::size_t>(v)] || v == root_) continue;
-    const EdgeAttr* e = g.edge(v, parent_[static_cast<std::size_t>(v)]);
+    if (!on_tree_[idx(v)] || v == root_) continue;
+    const EdgeAttr* e = g.edge(v, parent_[idx(v)]);
     SCMP_EXPECTS(e != nullptr);
     total += e->cost;
   }
@@ -154,69 +228,82 @@ double MulticastTree::tree_cost(const Graph& g) const {
 }
 
 double MulticastTree::node_delay(const Graph& g, NodeId v) const {
-  SCMP_EXPECTS(on_tree(v));
-  double total = 0.0;
-  for (NodeId cur = v; cur != root_;
-       cur = parent_[static_cast<std::size_t>(cur)]) {
-    const EdgeAttr* e = g.edge(cur, parent_[static_cast<std::size_t>(cur)]);
-    SCMP_EXPECTS(e != nullptr);
-    total += e->delay;
-  }
-  return total;
+  SCMP_EXPECTS(&g == g_ && on_tree(v));
+  return delay_[idx(v)];
 }
 
 double MulticastTree::tree_delay(const Graph& g) const {
-  // Flag scan instead of members(): this sits on DCDM's per-join bound
-  // computation and must not allocate.
+  SCMP_EXPECTS(&g == g_);
   double worst = 0.0;
-  for (NodeId v = 0; v < num_nodes(); ++v) {
-    if (member_[static_cast<std::size_t>(v)])
-      worst = std::max(worst, node_delay(g, v));
-  }
+  for (NodeId m : member_list_) worst = std::max(worst, delay_[idx(m)]);
   return worst;
 }
 
 std::vector<std::pair<NodeId, NodeId>> MulticastTree::edges() const {
   std::vector<std::pair<NodeId, NodeId>> out;
   for (NodeId v = 0; v < num_nodes(); ++v) {
-    if (on_tree_[static_cast<std::size_t>(v)] && v != root_)
-      out.emplace_back(v, parent_[static_cast<std::size_t>(v)]);
+    if (on_tree_[idx(v)] && v != root_) out.emplace_back(v, parent_[idx(v)]);
   }
   return out;
 }
 
 bool MulticastTree::validate(const Graph& g) const {
-  if (!on_tree(root_)) return false;
-  if (parent_[static_cast<std::size_t>(root_)] != kInvalidNode) return false;
-  int counted = 0;
-  for (NodeId v = 0; v < num_nodes(); ++v) {
-    const auto idx = static_cast<std::size_t>(v);
-    if (member_[idx] && !on_tree_[idx]) return false;
-    if (!on_tree_[idx]) {
-      if (parent_[idx] != kInvalidNode || !children_[idx].empty()) return false;
+  const std::size_t r = idx(root_);
+  const double root_delay = delay_[r];
+  // determinism: allow(cache check: the root's delay is the literal 0.0 the
+  // constructor stores, never a computed sum)
+  bool ok = on_tree_[r] && parent_[r] == kInvalidNode && root_delay == 0.0;
+  // One DFS from the root over the child lists. The visit mark makes a
+  // duplicate child entry or a second route into a node fail; the parent
+  // check makes every reached node's parent chain end at the root, so no
+  // reached node lies on a cycle.
+  int reached = 1;
+  if (ok) {
+    mark_[r] = kVisited;
+    ok = walk_below(root_, [&](NodeId c, NodeId p) {
+      if (c < 0 || c >= num_nodes()) return false;
+      const std::size_t ci = idx(c);
+      if (!on_tree_[ci] || mark_[ci] != kClean || parent_[ci] != p)
+        return false;
+      const EdgeAttr* e = g.edge(c, p);
+      if (e == nullptr) return false;
+      const double cached = delay_[ci];
+      const double expected = delay_[idx(p)] + e->delay;
+      // determinism: allow(cache check: the cached delay was computed by
+      // this exact parent-plus-edge sum, so a recomputed one is bit-identical)
+      if (cached != expected) return false;
+      mark_[ci] = kVisited;
+      ++reached;
+      return true;
+    });
+  }
+  // The member list names each flagged member exactly once.
+  for (NodeId m : member_list_) {
+    if (m < 0 || m >= num_nodes() || (mark_[idx(m)] & kListed) != 0) {
+      ok = false;
       continue;
     }
-    ++counted;
-    if (v == root_) continue;
-    const NodeId p = parent_[idx];
-    if (p == kInvalidNode || !on_tree(p)) return false;
-    if (g.edge(v, p) == nullptr) return false;
-    const auto& sib = children_[static_cast<std::size_t>(p)];
-    if (std::count(sib.begin(), sib.end(), v) != 1) return false;
-    // Cycle check: the walk to the root must terminate within tree_size_ hops.
-    int hops = 0;
-    for (NodeId cur = v; cur != root_;
-         cur = parent_[static_cast<std::size_t>(cur)]) {
-      if (++hops > tree_size_) return false;
-    }
+    mark_[idx(m)] = static_cast<char>(mark_[idx(m)] | kListed);
   }
-  if (counted != tree_size_) return false;
+  // One flag pass over every node: clears the visit marks, and checks that
+  // every on-tree node was reached, that off-tree nodes carry no tree state
+  // and that members are on the tree.
+  int counted = 0;
   for (NodeId v = 0; v < num_nodes(); ++v) {
-    for (NodeId c : children_[static_cast<std::size_t>(v)]) {
-      if (parent_[static_cast<std::size_t>(c)] != v) return false;
+    const std::size_t i = idx(v);
+    const bool visited = (mark_[i] & kVisited) != 0;
+    const bool listed = (mark_[i] & kListed) != 0;
+    mark_[i] = kClean;
+    if ((member_[i] != 0) != listed) ok = false;
+    if (member_[i] && !on_tree_[i]) ok = false;
+    if (on_tree_[i]) {
+      ++counted;
+      if (!visited) ok = false;
+    } else if (parent_[i] != kInvalidNode || !children_[i].empty()) {
+      ok = false;
     }
   }
-  return true;
+  return ok && counted == tree_size_ && reached == tree_size_;
 }
 
 }  // namespace scmp::graph

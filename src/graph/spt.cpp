@@ -8,7 +8,7 @@ MulticastTree shortest_path_tree(const Graph& g, NodeId root,
                                  const std::vector<NodeId>& members,
                                  Metric metric) {
   const ShortestPaths sp = dijkstra(g, root, metric);
-  MulticastTree tree(root, g.num_nodes());
+  MulticastTree tree(g, root);
   for (NodeId m : members) {
     SCMP_EXPECTS(sp.reachable(m));
     tree.graft_path(sp.path_to(m));

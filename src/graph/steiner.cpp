@@ -76,7 +76,7 @@ MulticastTree kmb_steiner(const Graph& g, const AllPairsPaths& paths,
   // Step 4: MST of the expanded subgraph, rooted at the multicast root.
   const std::vector<NodeId> sub_parent = prim_mst(sub, root, metric);
 
-  MulticastTree tree(root, g.num_nodes());
+  MulticastTree tree(g, root);
   std::vector<char> is_terminal(static_cast<std::size_t>(g.num_nodes()), 0);
   for (NodeId v : terminals) is_terminal[static_cast<std::size_t>(v)] = 1;
 

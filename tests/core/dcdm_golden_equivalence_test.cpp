@@ -29,7 +29,7 @@ class ReferenceDcdm {
       : g_(&g),
         paths_(&paths),
         cfg_(cfg),
-        tree_(root, g.num_nodes()),
+        tree_(g, root),
         admitted_bound_(static_cast<std::size_t>(g.num_nodes()),
                         std::numeric_limits<double>::quiet_NaN()) {}
 

@@ -24,7 +24,7 @@ graph::MulticastTree fig6_subtree(graph::Graph& g) {
   g.add_edge(5, 8, 1, 1);
   g.add_edge(6, 9, 1, 1);
   g.add_edge(4, 10, 1, 1);
-  graph::MulticastTree t(1, 11);
+  graph::MulticastTree t(g, 1);
   t.graft_path({1, 2, 4});
   t.graft_path({2, 5, 7});
   t.graft_path({5, 8});
@@ -131,7 +131,7 @@ TEST_P(TreePacketFuzz, EncodedTreesAlwaysValidateAndMutationsNeverCrash) {
   const graph::Graph& g = topo.graph;
   const graph::ShortestPaths sp = dijkstra(g, 0, graph::Metric::kDelay);
   Rng rng(GetParam() * 17 + 1);
-  graph::MulticastTree t(0, g.num_nodes());
+  graph::MulticastTree t(g, 0);
   for (int v : rng.sample_without_replacement(g.num_nodes() - 1, 10))
     t.graft_path(sp.path_to(v + 1));
 
@@ -172,7 +172,7 @@ TEST_P(TreePacketRoundTrip, RandomTreesEncodeDecode) {
   const graph::Graph& g = topo.graph;
   const graph::ShortestPaths sp = dijkstra(g, 0, graph::Metric::kDelay);
   Rng rng(GetParam() + 99);
-  graph::MulticastTree t(0, g.num_nodes());
+  graph::MulticastTree t(g, 0);
   for (int v : rng.sample_without_replacement(g.num_nodes() - 1, 12))
     t.graft_path(sp.path_to(v + 1));
 

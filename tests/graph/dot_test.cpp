@@ -29,7 +29,7 @@ TEST(Dot, EachUndirectedEdgeEmittedOnce) {
 
 TEST(Dot, TreeOverlayMarksRootMembersAndTreeEdges) {
   const Graph g = test::paper_fig5_topology();
-  MulticastTree t(0, 6);
+  MulticastTree t(g, 0);
   t.graft_path({0, 1, 4});
   t.set_member(4, true);
   const std::string dot = to_dot(g, t);
@@ -42,7 +42,7 @@ TEST(Dot, TreeOverlayMarksRootMembersAndTreeEdges) {
 
 TEST(Dot, TreeEdgesMatchTreeStructure) {
   const Graph g = test::line(4);
-  MulticastTree t(0, 4);
+  MulticastTree t(g, 0);
   t.graft_path({0, 1, 2});
   const std::string dot = to_dot(g, t);
   // 0-1 and 1-2 are tree edges; 2-3 is not.
@@ -56,7 +56,8 @@ TEST(Dot, TreeEdgesMatchTreeStructure) {
 
 TEST(DotDeath, TreeMustMatchGraphSize) {
   const Graph g = test::line(4);
-  MulticastTree t(0, 5);
+  const Graph other = test::line(5);
+  MulticastTree t(other, 0);
   EXPECT_DEATH(to_dot(g, t), "Precondition");
 }
 

@@ -13,7 +13,7 @@ namespace {
 
 TEST(MulticastTree, InitiallyOnlyRoot) {
   const Graph g = test::line(4);
-  MulticastTree t(0, g.num_nodes());
+  MulticastTree t(g, 0);
   EXPECT_EQ(t.root(), 0);
   EXPECT_TRUE(t.on_tree(0));
   EXPECT_FALSE(t.on_tree(1));
@@ -23,7 +23,7 @@ TEST(MulticastTree, InitiallyOnlyRoot) {
 
 TEST(MulticastTree, GraftSimplePath) {
   const Graph g = test::line(4);
-  MulticastTree t(0, 4);
+  MulticastTree t(g, 0);
   t.graft_path({0, 1, 2, 3});
   EXPECT_TRUE(t.on_tree(3));
   EXPECT_EQ(t.parent(3), 2);
@@ -34,7 +34,7 @@ TEST(MulticastTree, GraftSimplePath) {
 
 TEST(MulticastTree, GraftOverlappingPathsShareEdges) {
   const Graph g = test::diamond();
-  MulticastTree t(0, 4);
+  MulticastTree t(g, 0);
   t.graft_path({0, 1, 3});
   t.graft_path({0, 1});  // fully contained: no change
   EXPECT_EQ(t.tree_size(), 3);
@@ -43,7 +43,7 @@ TEST(MulticastTree, GraftOverlappingPathsShareEdges) {
 
 TEST(MulticastTree, MembersTracked) {
   const Graph g = test::line(4);
-  MulticastTree t(0, 4);
+  MulticastTree t(g, 0);
   t.graft_path({0, 1, 2});
   t.set_member(2, true);
   EXPECT_TRUE(t.is_member(2));
@@ -54,13 +54,13 @@ TEST(MulticastTree, MembersTracked) {
 
 TEST(MulticastTreeDeath, MemberMustBeOnTree) {
   const Graph g = test::line(4);
-  MulticastTree t(0, 4);
+  MulticastTree t(g, 0);
   EXPECT_DEATH(t.set_member(3, true), "Precondition");
 }
 
 TEST(MulticastTree, PruneRemovesDanglingChain) {
   const Graph g = test::line(5);
-  MulticastTree t(0, 5);
+  MulticastTree t(g, 0);
   t.graft_path({0, 1, 2, 3, 4});
   t.set_member(4, true);
   t.set_member(4, false);
@@ -71,7 +71,7 @@ TEST(MulticastTree, PruneRemovesDanglingChain) {
 
 TEST(MulticastTree, PruneStopsAtMember) {
   const Graph g = test::line(5);
-  MulticastTree t(0, 5);
+  MulticastTree t(g, 0);
   t.graft_path({0, 1, 2, 3, 4});
   t.set_member(2, true);
   t.prune_upward_from(4);
@@ -87,7 +87,7 @@ TEST(MulticastTree, PruneStopsAtBranchingNode) {
   g.add_edge(1, 2, 1, 1);
   g.add_edge(1, 3, 1, 1);
   g.add_edge(3, 4, 1, 1);
-  MulticastTree t(0, 5);
+  MulticastTree t(g, 0);
   t.graft_path({0, 1, 2});
   t.graft_path({1, 3, 4});
   t.set_member(2, true);
@@ -101,7 +101,7 @@ TEST(MulticastTree, PruneStopsAtBranchingNode) {
 
 TEST(MulticastTree, PruneNeverRemovesRoot) {
   const Graph g = test::line(3);
-  MulticastTree t(0, 3);
+  MulticastTree t(g, 0);
   t.prune_upward_from(0);
   EXPECT_TRUE(t.on_tree(0));
 }
@@ -110,7 +110,7 @@ TEST(MulticastTree, LoopEliminationReparents) {
   // Paper Fig. 5(c)->(d): grafting 0-2-5 when 2 is on the tree via 1
   // re-parents 2 under 0 and removes edge 1-2; 1 survives (it leads to 4).
   const Graph g = test::paper_fig5_topology();
-  MulticastTree t(0, 6);
+  MulticastTree t(g, 0);
   t.graft_path({0, 1, 4});
   t.set_member(4, true);
   t.graft_path({1, 2, 3});
@@ -139,7 +139,7 @@ TEST(MulticastTree, LoopEliminationPrunesOldBranch) {
   g.add_edge(0, 4, 1, 1);
   g.add_edge(4, 3, 1, 1);
   g.add_edge(3, 5, 1, 1);
-  MulticastTree t(0, 6);
+  MulticastTree t(g, 0);
   t.graft_path({0, 1, 2, 3});
   t.set_member(3, true);
   // New path re-enters at 3; old chain 1-2 carried no members -> pruned.
@@ -155,7 +155,7 @@ TEST(MulticastTree, LoopEliminationPrunesOldBranch) {
 TEST(MulticastTree, GraftThroughAncestorDoesNotCycle) {
   // Path that climbs back through an ancestor must not create a cycle.
   const Graph g = test::line(5);
-  MulticastTree t(0, 5);
+  MulticastTree t(g, 0);
   t.graft_path({0, 1, 2});
   t.set_member(2, true);
   // Path from graft node 2 back through ancestor 1 then descending again is
@@ -171,7 +171,7 @@ TEST(MulticastTree, CostAndDelay) {
   g.add_edge(0, 1, 2, 10);
   g.add_edge(1, 2, 3, 20);
   g.add_edge(1, 3, 4, 30);
-  MulticastTree t(0, 4);
+  MulticastTree t(g, 0);
   t.graft_path({0, 1, 2});
   t.graft_path({1, 3});
   t.set_member(2, true);
@@ -186,7 +186,7 @@ TEST(MulticastTree, TreeDelayIgnoresNonMembers) {
   Graph g(3);
   g.add_edge(0, 1, 5, 1);
   g.add_edge(1, 2, 5, 1);
-  MulticastTree t(0, 3);
+  MulticastTree t(g, 0);
   t.graft_path({0, 1, 2});
   t.set_member(1, true);  // 2 is a non-member leaf (transient state)
   EXPECT_DOUBLE_EQ(t.tree_delay(g), 5.0);
@@ -194,7 +194,7 @@ TEST(MulticastTree, TreeDelayIgnoresNonMembers) {
 
 TEST(MulticastTree, PathFromRoot) {
   const Graph g = test::line(4);
-  MulticastTree t(0, 4);
+  MulticastTree t(g, 0);
   t.graft_path({0, 1, 2, 3});
   EXPECT_EQ(t.path_from_root(3), (std::vector<NodeId>{0, 1, 2, 3}));
   EXPECT_EQ(t.path_from_root(0), std::vector<NodeId>{0});
@@ -202,7 +202,7 @@ TEST(MulticastTree, PathFromRoot) {
 
 TEST(MulticastTree, EdgesList) {
   const Graph g = test::line(3);
-  MulticastTree t(0, 3);
+  MulticastTree t(g, 0);
   t.graft_path({0, 1, 2});
   const auto edges = t.edges();
   EXPECT_EQ(edges.size(), 2u);
@@ -215,7 +215,7 @@ TEST(MulticastTree, ValidateDetectsMissingGraphEdge) {
   Graph g1 = test::line(3);
   Graph g2(3);
   g2.add_edge(0, 2, 1, 1);
-  MulticastTree t(0, 3);
+  MulticastTree t(g1, 0);
   t.graft_path({0, 1});
   EXPECT_TRUE(t.validate(g1));
   EXPECT_FALSE(t.validate(g2));
@@ -228,7 +228,7 @@ TEST_P(TreeRandomOps, InvariantsUnderChurn) {
   const Graph& g = topo.graph;
   const ShortestPaths sp = dijkstra(g, 0, Metric::kDelay);
   Rng rng(GetParam() ^ 0xabcdef);
-  MulticastTree t(0, g.num_nodes());
+  MulticastTree t(g, 0);
   std::set<NodeId> joined;
   for (int step = 0; step < 200; ++step) {
     const NodeId v =
