@@ -91,6 +91,9 @@ std::map<GroupId, DcdmTree> TreeComputePool::build_trees(
   for (std::size_t i = 0; i < groups.size(); ++i)
     slots.emplace_back(*g_, *paths_, root, cfg);
 
+  // Each join's validate() reads the graph's CSR view: warm its lazy build
+  // here, on this thread, so the workers only ever read it.
+  g_->csr();
   for_each_index(groups.size(), [&](std::size_t i) {
     for (graph::NodeId member : groups[i].join_order) slots[i].join(member);
   });

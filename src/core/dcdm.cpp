@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <span>
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -40,9 +41,7 @@ double DcdmTree::delay_bound_for(graph::NodeId joining) const {
   // determinism: allow(sentinel compare: kLoosest is copied into
   // cfg_.delay_slack verbatim, never computed, so the bits match exactly)
   if (cfg_.delay_slack == kLoosest) return kLoosest;
-  double max_ul = unicast_delay(joining);
-  for (graph::NodeId m : tree_.unordered_members())
-    max_ul = std::max(max_ul, unicast_delay(m));
+  const double max_ul = std::max(unicast_delay(joining), max_member_ul_);
   return std::max(cfg_.delay_slack * max_ul, tree_.tree_delay(*g_));
 }
 
@@ -58,6 +57,7 @@ JoinResult DcdmTree::join(graph::NodeId s) {
     // member's admitted path), so it is admitted at the current bound.
     result.already_on_tree = true;
     tree_.set_member(s, true);
+    max_member_ul_ = std::max(max_member_ul_, unicast_delay(s));
     record_admission(s, delay_bound_for(s));
     return result;
   }
@@ -101,11 +101,14 @@ JoinResult DcdmTree::join(graph::NodeId s) {
     }
   };
   // The winner is the minimum of a total order, so the walk order over the
-  // tree does not matter; each node offers P_sl before P_lc.
+  // tree does not matter; each node offers P_sl before P_lc. Every weight
+  // comes from s's row of the path database: one contiguous read.
+  const std::span<const graph::PairWeights> to_s = paths_->weights_to(s);
   const auto score = [&](graph::NodeId t) {
     const double td = tree_.node_delay(*g_, t);
-    consider(t, td, paths_->sl_delay(t, s), paths_->sl_cost(t, s), true);
-    consider(t, td, paths_->lc_delay(t, s), paths_->lc_cost(t, s), false);
+    const graph::PairWeights& w = to_s[static_cast<std::size_t>(t)];
+    consider(t, td, w.sl_delay, w.sl_cost, true);
+    consider(t, td, w.lc_delay, w.lc_cost, false);
     return true;
   };
   score(tree_.root());
@@ -124,6 +127,7 @@ JoinResult DcdmTree::join(graph::NodeId s) {
 
   const graph::TreeChange& change = tree_.graft_path(scratch_graft_);
   tree_.set_member(s, true);
+  max_member_ul_ = std::max(max_member_ul_, unicast_delay(s));
   record_admission(s, bound);
   // A loop-eliminating restructure moved these members' root paths:
   // re-admit each at its new multicast delay.
@@ -134,6 +138,7 @@ JoinResult DcdmTree::join(graph::NodeId s) {
   }
   result.graft_path = scratch_graft_;
   result.removed_nodes = change.removed;
+  result.lost_edges = change.lost_edges;
   result.restructured = !change.removed.empty() || !change.reparented.empty();
   if (result.restructured) {
     static obs::Counter& restructures = obs::counter("dcdm.restructures");
@@ -152,6 +157,16 @@ LeaveResult DcdmTree::leave(graph::NodeId s) {
   tree_.set_member(s, false);
   admitted_bound_[static_cast<std::size_t>(s)] =
       std::numeric_limits<double>::quiet_NaN();
+  // A max over the same set is exact whatever the order, so only a leaver
+  // that held the max forces a recount.
+  const double leaver_ul = unicast_delay(s);
+  // determinism: allow(max bookkeeping: max_member_ul_ is a copy of one
+  // member's path-database ul, so the member holding it matches bit for bit)
+  if (leaver_ul == max_member_ul_) {
+    max_member_ul_ = -std::numeric_limits<double>::infinity();
+    for (graph::NodeId m : tree_.unordered_members())
+      max_member_ul_ = std::max(max_member_ul_, unicast_delay(m));
+  }
 
   result.removed_nodes = tree_.prune_upward_from(s).removed;
   SCMP_ENSURES(tree_.validate(*g_));

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -40,6 +41,9 @@ struct JoinResult {
   std::vector<graph::NodeId> graft_path;  ///< chosen path (graft node first)
   bool restructured = false;     ///< loop elimination re-parented some node
   std::vector<graph::NodeId> removed_nodes;  ///< pruned by loop elimination
+  /// Tree edges (old parent, child) loop elimination cut whose old parent
+  /// survived, in graph::TreeChange::lost_edges order.
+  std::vector<std::pair<graph::NodeId, graph::NodeId>> lost_edges;
 };
 
 struct LeaveResult {
@@ -47,6 +51,9 @@ struct LeaveResult {
   std::vector<graph::NodeId> removed_nodes;  ///< pruned branch (includes s when removed)
 };
 
+/// A DcdmTree caches values derived from its graph and path database (the
+/// tree's root delays, the members' largest ul), so after either changes
+/// its owner rebuilds every tree that has members.
 class DcdmTree {
  public:
   DcdmTree(const graph::Graph& g, const graph::AllPairsPaths& paths,
@@ -85,6 +92,10 @@ class DcdmTree {
   graph::MulticastTree tree_;
   /// Per-member admitted bound (see admitted_bound); unused slots hold NaN.
   std::vector<double> admitted_bound_;
+  /// Largest unicast delay ul(m) over the current members (-inf when there
+  /// are none), kept on join and leave so delay_bound_for() reads no
+  /// per-member column of the path database.
+  double max_member_ul_ = -std::numeric_limits<double>::infinity();
 
   /// Winning graft path, materialized once per join via path_to_into():
   /// join() is the m-router's hot path and must not allocate per call

@@ -354,18 +354,7 @@ void Scmp::mrouter_handle_join(GroupId group, graph::NodeId requester,
     return;
   }
 
-  DcdmTree& t = tree_for(group);
-
-  // Snapshot the children sets so a loop-eliminating join can be installed
-  // as a minimal diff (BRANCH + targeted detaches) instead of a full tree.
-  std::vector<std::vector<graph::NodeId>> old_children;
-  if (!cfg_.always_full_tree) {
-    old_children.resize(static_cast<std::size_t>(net().graph().num_nodes()));
-    for (graph::NodeId v : t.tree().on_tree_nodes())
-      old_children[static_cast<std::size_t>(v)] = t.tree().children(v);
-  }
-
-  const JoinResult res = t.join(requester);
+  const JoinResult res = tree_for(group).join(requester);
   obs::flight_record(obs::FlightEventKind::kCompute, now, req, "DCDM", group,
                      requester, mrouter_of(group));
   if (!res.is_new_member || res.already_on_tree) return;  // no topology change
@@ -376,22 +365,16 @@ void Scmp::mrouter_handle_join(GroupId group, graph::NodeId requester,
     return;
   }
   if (res.restructured) {
-    // Routers that fell off the tree drop their entries; surviving routers
-    // that lost a child (the re-parented node or a pruned chain head) detach
-    // it. Child *additions* all lie on the new branch, which the BRANCH
+    // A loop-eliminating join is installed as a minimal diff: routers that
+    // fell off the tree drop their entries; surviving routers that lost a
+    // child (the re-parented node or a pruned chain head) detach it, in the
+    // join's lost-edge order (the root holds no entry, so send_clear skips
+    // it). Child *additions* all lie on the new branch, which the BRANCH
     // packet installs, including the re-parented node's new upstream.
-    const graph::NodeId root = mrouter_of(group);
     for (graph::NodeId r : res.removed_nodes)
       send_clear(group, r, {}, version);
-    for (graph::NodeId v = 0; v < net().graph().num_nodes(); ++v) {
-      const auto& before = old_children[static_cast<std::size_t>(v)];
-      if (before.empty() || v == root || !t.tree().on_tree(v)) continue;
-      const auto& after = t.tree().children(v);
-      for (graph::NodeId c : before) {
-        if (std::find(after.begin(), after.end(), c) == after.end())
-          send_clear(group, v, {c}, version);
-      }
-    }
+    for (const auto& [parent, child] : res.lost_edges)
+      send_clear(group, parent, {child}, version);
   }
   install_branch(group, requester, version);
 }

@@ -6,29 +6,29 @@
 
 namespace scmp::graph {
 
+void path_along(const std::vector<NodeId>& parent,
+                const std::vector<std::int32_t>& hops, NodeId src,
+                NodeId dst, std::vector<NodeId>& out) {
+  SCMP_EXPECTS(dst >= 0 && static_cast<std::size_t>(dst) < hops.size());
+  out.clear();
+  const std::int32_t h = hops[static_cast<std::size_t>(dst)];
+  if (h < 0) return;  // unreachable
+  out.reserve(static_cast<std::size_t>(h) + 1);
+  for (NodeId v = dst; v != kInvalidNode;
+       v = parent[static_cast<std::size_t>(v)])
+    out.push_back(v);
+  std::reverse(out.begin(), out.end());
+  SCMP_ENSURES(out.front() == src);
+}
+
 std::vector<NodeId> ShortestPaths::path_to(NodeId dst) const {
-  SCMP_EXPECTS(dst >= 0 && dst < static_cast<NodeId>(dist.size()));
-  if (!reachable(dst)) return {};
   std::vector<NodeId> path;
-  path.reserve(static_cast<std::size_t>(hops[static_cast<std::size_t>(dst)]) +
-               1);
-  for (NodeId v = dst; v != kInvalidNode; v = parent[static_cast<std::size_t>(v)])
-    path.push_back(v);
-  std::reverse(path.begin(), path.end());
-  SCMP_ENSURES(path.front() == source);
+  path_to_into(dst, path);
   return path;
 }
 
 void ShortestPaths::path_to_into(NodeId dst, std::vector<NodeId>& out) const {
-  SCMP_EXPECTS(dst >= 0 && dst < static_cast<NodeId>(dist.size()));
-  out.clear();
-  if (!reachable(dst)) return;
-  out.reserve(static_cast<std::size_t>(hops[static_cast<std::size_t>(dst)]) +
-              1);
-  for (NodeId v = dst; v != kInvalidNode; v = parent[static_cast<std::size_t>(v)])
-    out.push_back(v);
-  std::reverse(out.begin(), out.end());
-  SCMP_ENSURES(out.front() == source);
+  path_along(parent, hops, source, dst, out);
 }
 
 void dijkstra_into(const Graph& g, NodeId source, Metric metric,

@@ -61,6 +61,14 @@ struct ShortestPaths {
   void path_to_into(NodeId dst, std::vector<NodeId>& out) const;
 };
 
+/// The canonical path src..dst along `parent` into `out`, sized from
+/// `hops` (empty when hops[dst] is -1: unreachable). No allocation once
+/// `out`'s capacity covers the path. Shared by ShortestPaths and the path
+/// database's cached runs.
+void path_along(const std::vector<NodeId>& parent,
+                const std::vector<std::int32_t>& hops, NodeId src,
+                NodeId dst, std::vector<NodeId>& out);
+
 /// Dijkstra with a binary heap; ties broken by smaller node id so results are
 /// deterministic across platforms.
 ShortestPaths dijkstra(const Graph& g, NodeId source, Metric metric);

@@ -78,9 +78,23 @@ bool MulticastTree::is_leaf(NodeId v) const {
 
 void MulticastTree::log_touch(NodeId v) {
   char& mark = mark_[idx(v)];
-  if (mark != kClean) return;  // already logged, or attached by this call
-  mark = kLogged;
+  if (mark & (kFresh | kLogged)) return;  // attached by this call, or logged
+  mark = static_cast<char>(mark | kLogged);
   touched_.push_back({v, parent_[idx(v)], delay_[idx(v)]});
+}
+
+void MulticastTree::save_children(NodeId v) {
+  char& mark = mark_[idx(v)];
+  if (mark & (kFresh | kSaved)) return;  // attached by this call, or saved
+  mark = static_cast<char>(mark | kSaved);
+  const auto& kids = children_[idx(v)];
+  saved_.push_back({v, saved_kids_.size(), kids.size()});
+  saved_kids_.insert(saved_kids_.end(), kids.begin(), kids.end());
+}
+
+std::vector<NodeId>& MulticastTree::walk_stack() {
+  thread_local std::vector<NodeId> stack;
+  return stack;
 }
 
 void MulticastTree::attach(NodeId child, NodeId parent) {
@@ -89,12 +103,13 @@ void MulticastTree::attach(NodeId child, NodeId parent) {
   const EdgeAttr* e = g_->edge(child, parent);
   SCMP_EXPECTS(e != nullptr);
   if (!on_tree_[idx(child)]) {
-    // Off-tree and untouched means off-tree before this call too.
-    if (mark_[idx(child)] == kClean) mark_[idx(child)] = kFresh;
+    // Off-tree and unlogged means off-tree before this call too.
+    if ((mark_[idx(child)] & kLogged) == 0) mark_[idx(child)] = kFresh;
     on_tree_[idx(child)] = 1;
     ++tree_size_;
   }
   parent_[idx(child)] = parent;
+  save_children(parent);
   children_[idx(parent)].push_back(child);
   delay_[idx(child)] = delay_[idx(parent)] + e->delay;
   refresh_below(child);
@@ -113,6 +128,7 @@ void MulticastTree::refresh_below(NodeId top) {
 void MulticastTree::detach(NodeId child) {
   const NodeId p = parent_[idx(child)];
   if (p == kInvalidNode) return;
+  save_children(p);
   auto& sib = children_[idx(p)];
   sib.erase(std::remove(sib.begin(), sib.end(), child), sib.end());
   parent_[idx(child)] = kInvalidNode;
@@ -184,8 +200,8 @@ const TreeChange& MulticastTree::finish_change(
   change_.reparented.clear();
   change_.removed.clear();
   change_.redelayed.clear();
+  change_.lost_edges.clear();
   for (const Touched& t : touched_) {
-    mark_[idx(t.v)] = kClean;
     if (!on_tree_[idx(t.v)]) {
       change_.removed.push_back(t.v);
       continue;
@@ -197,9 +213,27 @@ const TreeChange& MulticastTree::finish_change(
     // changed one differs in value, not in rounding)
     if (delay != t.old_delay) change_.redelayed.push_back(t.v);
   }
-  touched_.clear();
+  // A saved list's entries are exactly the parent's pre-call children; the
+  // ones that no longer hang below it are the cut edges.
+  std::sort(saved_.begin(), saved_.end(),
+            [](const SavedList& a, const SavedList& b) {
+              return a.parent < b.parent;
+            });
+  for (const SavedList& l : saved_) {
+    mark_[idx(l.parent)] = kClean;
+    if (!on_tree_[idx(l.parent)]) continue;
+    for (std::size_t k = l.first; k < l.first + l.count; ++k) {
+      const NodeId c = saved_kids_[k];
+      if (!on_tree_[idx(c)] || parent_[idx(c)] != l.parent)
+        change_.lost_edges.emplace_back(l.parent, c);
+    }
+  }
+  for (const Touched& t : touched_) mark_[idx(t.v)] = kClean;
   // Marks of nodes this call attached fresh; they all lie on the path.
   for (NodeId v : fresh) mark_[idx(v)] = kClean;
+  touched_.clear();
+  saved_.clear();
+  saved_kids_.clear();
   std::sort(change_.reparented.begin(), change_.reparented.end());
   std::sort(change_.removed.begin(), change_.removed.end());
   std::sort(change_.redelayed.begin(), change_.redelayed.end());
@@ -248,6 +282,7 @@ std::vector<std::pair<NodeId, NodeId>> MulticastTree::edges() const {
 }
 
 bool MulticastTree::validate(const Graph& g) const {
+  const Graph::CsrView& csr = g.csr();
   const std::size_t r = idx(root_);
   const double root_delay = delay_[r];
   // determinism: allow(cache check: the root's delay is the literal 0.0 the
@@ -265,10 +300,15 @@ bool MulticastTree::validate(const Graph& g) const {
       const std::size_t ci = idx(c);
       if (!on_tree_[ci] || mark_[ci] != kClean || parent_[ci] != p)
         return false;
-      const EdgeAttr* e = g.edge(c, p);
-      if (e == nullptr) return false;
+      // The parent edge from the flat CSR row: the same first match, and
+      // the same attributes, as Graph::edge(c, p).
+      const Graph::CsrView::Row row = csr.row(c);
+      const Graph::Neighbor* e = std::find_if(
+          row.begin(), row.end(),
+          [p](const Graph::Neighbor& nb) { return nb.to == p; });
+      if (e == row.end()) return false;
       const double cached = delay_[ci];
-      const double expected = delay_[idx(p)] + e->delay;
+      const double expected = delay_[idx(p)] + e->attr.delay;
       // determinism: allow(cache check: the cached delay was computed by
       // this exact parent-plus-edge sum, so a recomputed one is bit-identical)
       if (cached != expected) return false;

@@ -16,12 +16,15 @@
 // the path, the pruned nodes and the re-parented subtrees, whose cached
 // delays are refreshed with one Graph::edge lookup per node. Each returns a
 // TreeChange naming the nodes that were on the tree before the call and that
-// the call re-parented, removed or moved to a different root delay, so
-// callers never diff whole-tree snapshots.
+// the call re-parented, removed or moved to a different root delay, plus the
+// tree edges it cut, so callers never diff whole-tree snapshots. To report
+// cut edges in child-list order, a mutation copies a pre-existing node's
+// child list the first time it modifies it; that costs O(degree) per
+// modified list.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -30,11 +33,17 @@ namespace scmp::graph {
 
 /// What one mutation changed, relative to the tree before the call. Only
 /// nodes that were on the tree before the call appear: a node the call
-/// attached (and perhaps pruned again) is not reported. Each list ascends.
+/// attached (and perhaps pruned again) is not reported. The node lists
+/// ascend.
 struct TreeChange {
   std::vector<NodeId> reparented;  ///< still on the tree, different parent
   std::vector<NodeId> removed;     ///< no longer on the tree
   std::vector<NodeId> redelayed;   ///< still on the tree, different delay
+  /// Tree edges (old parent, child) the call cut whose old parent is still
+  /// on the tree: the child left the tree or hangs elsewhere now. Ordered by
+  /// parent id, then by the child's position in the parent's child list
+  /// before the call.
+  std::vector<std::pair<NodeId, NodeId>> lost_edges;
 };
 
 class MulticastTree {
@@ -92,11 +101,12 @@ class MulticastTree {
   /// All tree edges as (child, parent) pairs.
   std::vector<std::pair<NodeId, NodeId>> edges() const;
 
-  /// Calls visit(child, parent) for every tree edge below `top` in preorder
-  /// over children(), descending into a child only when its call returns
-  /// true; a false return stops the walk and is returned. Stackless — it
-  /// climbs back through parent() — so it never allocates; it costs
-  /// O(subtree · degree).
+  /// Calls visit(child, parent) for every tree edge below `top`, each
+  /// parent's edges before its children's and each child list in order; a
+  /// false return stops the walk and is returned. An explicit-stack DFS over
+  /// the child lists: O(subtree), and its stack is per-thread scratch that
+  /// stops allocating once it has grown to the deepest frontier. `visit`
+  /// must not change the tree's structure.
   template <class Visit>
   bool walk_below(NodeId top, Visit visit) const;
 
@@ -104,22 +114,26 @@ class MulticastTree {
   /// reached exactly once from the root and agreeing with its parent pointer,
   /// parent edges present in g, cached delays equal to parent delay plus edge
   /// delay, members on tree, off-tree nodes carrying no tree state, and
-  /// tree_size() matching. O(V + tree); never allocates. It uses the
-  /// tree's mark bytes as scratch, so one tree must not be validated from
-  /// two threads at once.
+  /// tree_size() matching. O(V + tree): one walk_below() DFS whose parent
+  /// edges come from g's CSR rows (warm g.csr() before validating from
+  /// several threads), plus one flag pass over V; no allocation once the
+  /// walk stack has grown. It uses the tree's mark bytes as scratch, so one
+  /// tree must not be validated from two threads at once.
   bool validate(const Graph& g) const;
 
  private:
   friend struct MulticastTreeTestPeer;  // corrupts state for validate tests
 
-  /// Per-node mark, clean between calls. A mutation marks the nodes it
-  /// attached (kFresh) and the pre-existing nodes it logged (kLogged);
-  /// validate() sets the bits kVisited (reached from the root) and kListed
-  /// (named in the member list).
+  /// Per-node mark bits, clean between calls. A mutation marks the nodes it
+  /// attached (kFresh), the pre-existing nodes it logged (kLogged) and the
+  /// pre-existing nodes whose child list it saved (kSaved); validate() sets
+  /// kVisited (reached from the root) and kListed (named in the member
+  /// list).
   enum Mark : char {
     kClean = 0,
     kFresh = 1,
     kLogged = 2,
+    kSaved = 4,
     kVisited = 1,
     kListed = 2,
   };
@@ -128,6 +142,12 @@ class MulticastTree {
     NodeId v;
     NodeId old_parent;
     double old_delay;
+  };
+  /// Pre-call child list of `parent`: saved_kids_[first, first + count).
+  struct SavedList {
+    NodeId parent;
+    std::size_t first;
+    std::size_t count;
   };
 
   void attach(NodeId child, NodeId parent);
@@ -139,10 +159,16 @@ class MulticastTree {
   /// Records v's pre-call state the first time the current mutation
   /// touches it; nodes the mutation itself attached are not recorded.
   void log_touch(NodeId v);
+  /// Saves v's pre-call child list the first time the current mutation is
+  /// about to modify it; lists of nodes the mutation attached start empty
+  /// and are not saved.
+  void save_children(NodeId v);
   /// Turns the touch log into change_ and clears every mark the mutation
   /// set; `fresh` holds every node it may have attached (the grafted path).
   const TreeChange& finish_change(const std::vector<NodeId>& fresh);
   bool is_ancestor(NodeId anc, NodeId v) const;
+  /// walk_below()'s per-thread stack.
+  static std::vector<NodeId>& walk_stack();
 
   const Graph* g_;
   NodeId root_;
@@ -154,31 +180,29 @@ class MulticastTree {
   std::vector<std::vector<NodeId>> children_;
   mutable std::vector<char> mark_;      ///< Mark per node (see above)
   std::vector<Touched> touched_;        ///< current mutation's touch log
+  std::vector<SavedList> saved_;        ///< current mutation's saved lists
+  std::vector<NodeId> saved_kids_;      ///< their entries
   TreeChange change_;                   ///< last mutation's report
   int tree_size_ = 0;
 };
 
 template <class Visit>
 bool MulticastTree::walk_below(NodeId top, Visit visit) const {
-  NodeId v = top;
-  std::size_t next = 0;  // index into children_[v] of the next child to enter
-  for (;;) {
-    const auto& kids = children_[static_cast<std::size_t>(v)];
-    if (next < kids.size()) {
-      const NodeId c = kids[next];
-      if (!visit(c, v)) return false;
-      v = c;
-      next = 0;
-    } else if (v == top) {
-      return true;
-    } else {
-      const NodeId p = parent_[static_cast<std::size_t>(v)];
-      const auto& sib = children_[static_cast<std::size_t>(p)];
-      next = static_cast<std::size_t>(
-                 std::find(sib.begin(), sib.end(), v) - sib.begin()) + 1;
-      v = p;
+  std::vector<NodeId>& stack = walk_stack();
+  const std::size_t base = stack.size();  // a nested walk stacks above us
+  stack.push_back(top);
+  while (stack.size() > base) {
+    const NodeId v = stack.back();
+    stack.pop_back();
+    for (const NodeId c : children_[static_cast<std::size_t>(v)]) {
+      if (!visit(c, v)) {
+        stack.resize(base);
+        return false;
+      }
+      stack.push_back(c);
     }
   }
+  return true;
 }
 
 }  // namespace scmp::graph

@@ -331,29 +331,37 @@ void check_path_db(const graph::AllPairsPaths& db, const graph::Graph& g,
     return;
   }
   const graph::AllPairsPaths oracle(g);
-  auto compare_run = [&](const graph::ShortestPaths& got,
-                         const graph::ShortestPaths& want, const char* which,
-                         graph::NodeId src) {
+  // One P_sl or P_lc run: its two table weights and its cached shape
+  // (parent, hop count) at every destination.
+  auto compare_run = [&](bool least_cost, graph::NodeId src) {
+    const graph::PathTree& got = least_cost ? db.lc_from(src) : db.sl_from(src);
+    const graph::PathTree& want =
+        least_cost ? oracle.lc_from(src) : oracle.sl_from(src);
     for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
       const auto idx = static_cast<std::size_t>(v);
+      const graph::PairWeights& gw = db.weights(src, v);
+      const graph::PairWeights& ww = oracle.weights(src, v);
       // Exact == on doubles is intentional: the audited claim is bit-identity
       // of the incremental update, not numerical closeness (inf == inf holds
       // for unreachable nodes, and no field is ever NaN).
-      if (got.dist[idx] == want.dist[idx] &&
-          got.companion[idx] == want.companion[idx] &&
-          got.hops[idx] == want.hops[idx] &&
+      const bool same_weights =
+          least_cost
+              ? gw.lc_cost == ww.lc_cost && gw.lc_delay == ww.lc_delay
+              : gw.sl_delay == ww.sl_delay && gw.sl_cost == ww.sl_cost;
+      if (same_weights && got.hops[idx] == want.hops[idx] &&
           got.parent[idx] == want.parent[idx])
         continue;
       out.push_back({kPathDbConsistent,
-                     std::string(which) + " run from " + node_str(src) +
+                     std::string(least_cost ? "P_lc" : "P_sl") + " run from " +
+                         node_str(src) +
                          " diverges from a from-scratch rebuild at node " +
                          node_str(v)});
       return;  // one violation per run keeps the report readable
     }
   };
   for (graph::NodeId s = 0; s < g.num_nodes(); ++s) {
-    compare_run(db.sl_from(s), oracle.sl_from(s), "P_sl", s);
-    compare_run(db.lc_from(s), oracle.lc_from(s), "P_lc", s);
+    compare_run(false, s);
+    compare_run(true, s);
   }
 }
 

@@ -41,23 +41,6 @@ struct Fixture {
   std::unique_ptr<Scmp> scmp;
 };
 
-void expect_paths_identical(const graph::AllPairsPaths& got,
-                            const graph::AllPairsPaths& want) {
-  ASSERT_EQ(got.num_nodes(), want.num_nodes());
-  for (graph::NodeId s = 0; s < got.num_nodes(); ++s) {
-    for (const bool least_cost : {false, true}) {
-      const graph::ShortestPaths& x =
-          least_cost ? got.lc_from(s) : got.sl_from(s);
-      const graph::ShortestPaths& y =
-          least_cost ? want.lc_from(s) : want.sl_from(s);
-      ASSERT_EQ(x.dist, y.dist) << "source " << s;
-      ASSERT_EQ(x.companion, y.companion) << "source " << s;
-      ASSERT_EQ(x.hops, y.hops) << "source " << s;
-      ASSERT_EQ(x.parent, y.parent) << "source " << s;
-    }
-  }
-}
-
 /// An on-tree link of the group's current tree (repair is guaranteed to
 /// change something), whose removal keeps the topology connected.
 std::pair<graph::NodeId, graph::NodeId> pick_tree_link(const Fixture& f) {
@@ -98,9 +81,11 @@ TEST(ScmpLinkEvent, MatchesFullTopologyChange) {
   EXPECT_GE(recomputed, 1);
   EXPECT_LE(recomputed, topo.graph.num_nodes());
 
-  expect_paths_identical(incremental.scmp->paths(), full.scmp->paths());
-  expect_paths_identical(incremental.scmp->paths(),
-                         graph::AllPairsPaths(incremental.net.graph()));
+  EXPECT_EQ(
+      test::path_db_diff(incremental.scmp->paths(), full.scmp->paths()), "");
+  EXPECT_EQ(test::path_db_diff(incremental.scmp->paths(),
+                               graph::AllPairsPaths(incremental.net.graph())),
+            "");
   ASSERT_NE(incremental.scmp->group_tree(kGroup), nullptr);
   ASSERT_NE(full.scmp->group_tree(kGroup), nullptr);
   EXPECT_EQ(incremental.scmp->group_tree(kGroup)->tree().edges(),
@@ -140,8 +125,9 @@ TEST(ScmpLinkEvent, OffTreeLinkStillRepairsPathDatabase) {
   f.net.fail_link(u, v);
   f.scmp->handle_link_event(u, v);
   f.queue.run_all();
-  expect_paths_identical(f.scmp->paths(),
-                         graph::AllPairsPaths(f.net.graph()));
+  EXPECT_EQ(test::path_db_diff(f.scmp->paths(),
+                               graph::AllPairsPaths(f.net.graph())),
+            "");
   EXPECT_TRUE(f.scmp->network_state_consistent(kGroup));
 }
 
@@ -169,7 +155,8 @@ TEST(ScmpLinkEvent, ComputePoolProducesIdenticalState) {
   serial.scmp->handle_link_event(u, v);
   serial.queue.run_all();
 
-  expect_paths_identical(pooled.scmp->paths(), serial.scmp->paths());
+  EXPECT_EQ(
+      test::path_db_diff(pooled.scmp->paths(), serial.scmp->paths()), "");
   ASSERT_NE(pooled.scmp->group_tree(kGroup), nullptr);
   ASSERT_NE(serial.scmp->group_tree(kGroup), nullptr);
   EXPECT_EQ(pooled.scmp->group_tree(kGroup)->tree().edges(),
@@ -181,7 +168,8 @@ TEST(ScmpLinkEvent, ComputePoolProducesIdenticalState) {
   serial.scmp->on_topology_change();
   pooled.queue.run_all();
   serial.queue.run_all();
-  expect_paths_identical(pooled.scmp->paths(), serial.scmp->paths());
+  EXPECT_EQ(
+      test::path_db_diff(pooled.scmp->paths(), serial.scmp->paths()), "");
   EXPECT_EQ(pooled.scmp->group_tree(kGroup)->tree().edges(),
             serial.scmp->group_tree(kGroup)->tree().edges());
 }

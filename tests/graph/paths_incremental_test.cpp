@@ -17,22 +17,6 @@
 namespace scmp::graph {
 namespace {
 
-void expect_identical(const AllPairsPaths& got, const AllPairsPaths& want) {
-  ASSERT_EQ(got.num_nodes(), want.num_nodes());
-  for (NodeId s = 0; s < got.num_nodes(); ++s) {
-    for (const bool least_cost : {false, true}) {
-      const ShortestPaths& x = least_cost ? got.lc_from(s) : got.sl_from(s);
-      const ShortestPaths& y = least_cost ? want.lc_from(s) : want.sl_from(s);
-      // operator== on the double vectors is exact; inf compares equal for
-      // unreachable slots and no field is ever NaN.
-      ASSERT_EQ(x.dist, y.dist) << "source " << s;
-      ASSERT_EQ(x.companion, y.companion) << "source " << s;
-      ASSERT_EQ(x.hops, y.hops) << "source " << s;
-      ASSERT_EQ(x.parent, y.parent) << "source " << s;
-    }
-  }
-}
-
 /// Removes up to `rounds` random edges (keeping the graph connected, like
 /// the churn model-checker does), applying each as an incremental event and
 /// holding the database to the from-scratch oracle; then restores them.
@@ -57,7 +41,7 @@ void churn_edges(Graph g, std::uint64_t seed, int rounds) {
     const int recomputed = db.apply_link_event(g, u, v);
     EXPECT_GE(recomputed, 0);
     EXPECT_LE(recomputed, g.num_nodes());
-    expect_identical(db, AllPairsPaths(g));
+    EXPECT_EQ(test::path_db_diff(db, AllPairsPaths(g)), "");
     removed.emplace_back(u, v);
     attrs.push_back(attr);
   }
@@ -66,7 +50,7 @@ void churn_edges(Graph g, std::uint64_t seed, int rounds) {
     const auto [u, v] = removed[i];
     g.add_edge(u, v, attrs[i].delay, attrs[i].cost);
     db.apply_link_event(g, u, v);
-    expect_identical(db, AllPairsPaths(g));
+    EXPECT_EQ(test::path_db_diff(db, AllPairsPaths(g)), "");
   }
 }
 
@@ -96,7 +80,7 @@ TEST(PathsIncremental, UnusedHeavyEdgeIsCleanForAllSources) {
   AllPairsPaths db(g);
   g.remove_edge(0, 2);
   EXPECT_EQ(db.apply_link_event(g, 0, 2), 0);
-  expect_identical(db, AllPairsPaths(g));
+  EXPECT_EQ(test::path_db_diff(db, AllPairsPaths(g)), "");
 }
 
 TEST(PathsIncremental, TieRecanonicalizationIsDetected) {
@@ -111,7 +95,7 @@ TEST(PathsIncremental, TieRecanonicalizationIsDetected) {
   EXPECT_EQ(db.sl_from(0).parent[3], 2);
   g.add_edge(1, 3, 0, 0);  // dist(0,3) stays 2.0, but now also via parent 1
   db.apply_link_event(g, 1, 3);
-  expect_identical(db, AllPairsPaths(g));
+  EXPECT_EQ(test::path_db_diff(db, AllPairsPaths(g)), "");
   EXPECT_EQ(db.sl_from(0).parent[3], 1);
 }
 
@@ -121,7 +105,7 @@ TEST(PathsIncremental, ParallelRebuildBitIdenticalToSerial) {
   for (int threads : {1, 2, 4, 8}) {
     const core::TreeComputePool pool(topo.graph, serial, threads);
     const AllPairsPaths parallel(topo.graph, pool.parallel_for());
-    expect_identical(parallel, serial);
+    EXPECT_EQ(test::path_db_diff(parallel, serial), "");
   }
 }
 
@@ -138,8 +122,8 @@ TEST(PathsIncremental, ParallelLinkEventBitIdenticalToSerial) {
   const int serial_n = serial_db.apply_link_event(g, u, v);
   const int pool_n = pool_db.apply_link_event(g, u, v, pf);
   EXPECT_EQ(serial_n, pool_n);
-  expect_identical(pool_db, serial_db);
-  expect_identical(pool_db, AllPairsPaths(g));
+  EXPECT_EQ(test::path_db_diff(pool_db, serial_db), "");
+  EXPECT_EQ(test::path_db_diff(pool_db, AllPairsPaths(g)), "");
 }
 
 // Repeated parallel rebuilds over the same database: the TSan preset runs
@@ -154,7 +138,7 @@ TEST(PathsIncremental, RepeatedParallelRebuildsAreRaceFree) {
   for (int i = 0; i < 8; ++i) {
     db.rebuild(topo.graph, pf);
   }
-  expect_identical(db, oracle);
+  EXPECT_EQ(test::path_db_diff(db, oracle), "");
 }
 
 }  // namespace

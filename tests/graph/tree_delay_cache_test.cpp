@@ -7,9 +7,11 @@
 //     root-first sum of link delays along path_from_root();
 //   * the TreeChange the mutation returned equals the diff of full before/
 //     after snapshots (re-parented, removed and re-delayed nodes that were on
-//     the tree before the call).
+//     the tree before the call, and the cut edges below surviving parents
+//     in parent-id, then old child-list, order).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <string>
 #include <vector>
@@ -28,6 +30,7 @@ struct Snapshot {
   std::vector<char> on;
   std::vector<NodeId> parent;
   std::vector<double> delay;
+  std::vector<std::vector<NodeId>> children;
 };
 
 Snapshot snapshot(const Graph& g, const MulticastTree& t) {
@@ -38,6 +41,7 @@ Snapshot snapshot(const Graph& g, const MulticastTree& t) {
     s.parent.push_back(on ? t.parent(v) : kInvalidNode);
     s.delay.push_back(on ? t.node_delay(g, v)
                          : std::numeric_limits<double>::quiet_NaN());
+    s.children.push_back(t.children(v));
   }
   return s;
 }
@@ -53,6 +57,11 @@ TreeChange diff(const Snapshot& before, const Snapshot& after) {
     }
     if (after.parent[i] != before.parent[i]) d.reparented.push_back(v);
     if (after.delay[i] != before.delay[i]) d.redelayed.push_back(v);
+    const auto& kids = after.children[i];
+    for (NodeId c : before.children[i]) {
+      if (std::find(kids.begin(), kids.end(), c) == kids.end())
+        d.lost_edges.emplace_back(v, c);
+    }
   }
   return d;
 }
@@ -69,6 +78,7 @@ double root_first_delay(const Graph& g, const MulticastTree& t, NodeId v) {
 struct Totals {
   int reparents = 0;
   int removals = 0;
+  int lost_edges = 0;
 };
 
 void check_step(const Graph& g, const MulticastTree& t, const Snapshot& before,
@@ -84,6 +94,7 @@ void check_step(const Graph& g, const MulticastTree& t, const Snapshot& before,
   EXPECT_EQ(got.reparented, want.reparented) << where;
   EXPECT_EQ(got.removed, want.removed) << where;
   EXPECT_EQ(got.redelayed, want.redelayed) << where;
+  EXPECT_EQ(got.lost_edges, want.lost_edges) << where;
 }
 
 Totals churn(const Graph& g, std::uint64_t seed, int steps) {
@@ -103,6 +114,7 @@ Totals churn(const Graph& g, std::uint64_t seed, int steps) {
       const TreeChange got = t.prune_upward_from(m);
       check_step(g, t, before, got, where + " leave " + std::to_string(m));
       totals.removals += static_cast<int>(got.removed.size());
+      totals.lost_edges += static_cast<int>(got.lost_edges.size());
     } else {
       const std::vector<NodeId> on = t.on_tree_nodes();
       const NodeId from = on[static_cast<std::size_t>(
@@ -116,6 +128,7 @@ Totals churn(const Graph& g, std::uint64_t seed, int steps) {
       check_step(g, t, before, got, where + " graft to " + std::to_string(s));
       totals.reparents += static_cast<int>(got.reparented.size());
       totals.removals += static_cast<int>(got.removed.size());
+      totals.lost_edges += static_cast<int>(got.lost_edges.size());
     }
     if (::testing::Test::HasFailure()) break;
   }
@@ -129,6 +142,7 @@ TEST(TreeDelayCache, ArpanetChurn) {
     const Totals totals = churn(topo.graph, seed, 400);
     EXPECT_GT(totals.reparents, 0) << "seed " << seed;
     EXPECT_GT(totals.removals, 0) << "seed " << seed;
+    EXPECT_GT(totals.lost_edges, 0) << "seed " << seed;
   }
 }
 
@@ -138,6 +152,7 @@ TEST(TreeDelayCache, WaxmanChurn) {
     const Totals totals = churn(topo.graph, seed ^ 0x5eed, 400);
     EXPECT_GT(totals.reparents, 0) << "seed " << seed;
     EXPECT_GT(totals.removals, 0) << "seed " << seed;
+    EXPECT_GT(totals.lost_edges, 0) << "seed " << seed;
   }
 }
 
@@ -154,6 +169,7 @@ TEST(TreeDelayCache, TransitStubChurn) {
   const Totals totals = churn(topo.graph, 11, 300);
   EXPECT_GT(totals.reparents, 0);
   EXPECT_GT(totals.removals, 0);
+  EXPECT_GT(totals.lost_edges, 0);
 }
 
 TEST(TreeDelayCache, GraftedThenPrunedNodesAreNotReported) {
@@ -173,6 +189,33 @@ TEST(TreeDelayCache, GraftedThenPrunedNodesAreNotReported) {
   EXPECT_TRUE(got.removed.empty());
   EXPECT_TRUE(got.reparented.empty());
   EXPECT_TRUE(got.redelayed.empty());
+  EXPECT_TRUE(got.lost_edges.empty());
+  EXPECT_TRUE(t.validate(g));
+}
+
+TEST(TreeDelayCache, LostEdgesFollowOldChildListOrder) {
+  // Member 1 holds children [5, 3] (attach order, not id order). Grafting
+  // 0-2-5-4-3 re-parents 5 and then 3 away from 1, which survives as a
+  // member: both cut edges are reported under 1, in its old list order.
+  Graph g(6);
+  g.add_edge(0, 1, 1, 1);
+  g.add_edge(1, 5, 1, 1);
+  g.add_edge(1, 3, 1, 1);
+  g.add_edge(0, 2, 1, 1);
+  g.add_edge(2, 5, 1, 1);
+  g.add_edge(5, 4, 1, 1);
+  g.add_edge(4, 3, 1, 1);
+  MulticastTree t(g, 0);
+  t.graft_path({0, 1, 5});
+  t.graft_path({1, 3});
+  t.set_member(1, true);
+  t.set_member(3, true);
+  t.set_member(5, true);
+  const TreeChange got = t.graft_path({0, 2, 5, 4, 3});
+  const std::vector<std::pair<NodeId, NodeId>> want{{1, 5}, {1, 3}};
+  EXPECT_EQ(got.lost_edges, want);
+  EXPECT_EQ(got.reparented, (std::vector<NodeId>{3, 5}));
+  EXPECT_TRUE(got.removed.empty());
   EXPECT_TRUE(t.validate(g));
 }
 

@@ -2,7 +2,12 @@
 // and deterministic random graphs.
 #pragma once
 
+#include <bit>
+#include <cstdint>
+#include <string>
+
 #include "graph/graph.hpp"
+#include "graph/paths.hpp"
 #include "topo/waxman.hpp"
 #include "util/rng.hpp"
 
@@ -52,6 +57,33 @@ inline topo::Topology random_topology(std::uint64_t seed, int n = 30,
   cfg.alpha = alpha;
   cfg.beta = beta;
   return topo::waxman(cfg, rng);
+}
+
+/// The first difference between two path databases, or "" when they are
+/// identical: every pair's four weights compared bit for bit, then both
+/// cached runs' parent and hop count per source.
+inline std::string path_db_diff(const graph::AllPairsPaths& got,
+                                const graph::AllPairsPaths& want) {
+  if (got.num_nodes() != want.num_nodes()) return "node count";
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (graph::NodeId s = 0; s < got.num_nodes(); ++s) {
+    for (graph::NodeId v = 0; v < got.num_nodes(); ++v) {
+      const graph::PairWeights& x = got.weights(s, v);
+      const graph::PairWeights& y = want.weights(s, v);
+      if (bits(x.sl_delay) != bits(y.sl_delay) ||
+          bits(x.sl_cost) != bits(y.sl_cost) ||
+          bits(x.lc_delay) != bits(y.lc_delay) ||
+          bits(x.lc_cost) != bits(y.lc_cost))
+        return "weights " + std::to_string(s) + ".." + std::to_string(v);
+    }
+    if (got.sl_from(s).parent != want.sl_from(s).parent ||
+        got.sl_from(s).hops != want.sl_from(s).hops)
+      return "P_sl run from " + std::to_string(s);
+    if (got.lc_from(s).parent != want.lc_from(s).parent ||
+        got.lc_from(s).hops != want.lc_from(s).hops)
+      return "P_lc run from " + std::to_string(s);
+  }
+  return "";
 }
 
 }  // namespace scmp::test

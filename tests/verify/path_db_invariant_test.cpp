@@ -5,14 +5,35 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <string>
 #include <string_view>
 
 #include "helpers.hpp"
 #include "verify/churn.hpp"
 #include "verify/invariants.hpp"
 
+namespace scmp::graph {
+
+/// Reaches into the path database to corrupt single entries.
+struct AllPairsPathsTestPeer {
+  static PairWeights& weights(AllPairsPaths& db, NodeId u, NodeId v) {
+    return db.table_[static_cast<std::size_t>(v) *
+                         static_cast<std::size_t>(db.n_) +
+                     static_cast<std::size_t>(u)];
+  }
+  static PathTree& run(AllPairsPaths& db, bool least_cost, NodeId u) {
+    return least_cost ? db.by_cost_[static_cast<std::size_t>(u)]
+                      : db.by_delay_[static_cast<std::size_t>(u)];
+  }
+};
+
+}  // namespace scmp::graph
+
 namespace scmp::verify {
 namespace {
+
+using Peer = graph::AllPairsPathsTestPeer;
 
 TEST(PathDbInvariant, FreshDatabasePasses) {
   const auto topo = test::random_topology(5, 25);
@@ -34,6 +55,49 @@ TEST(PathDbInvariant, StaleDatabaseIsFlagged) {
   ASSERT_FALSE(out.empty());
   for (const Violation& viol : out)
     EXPECT_EQ(viol.invariant, kPathDbConsistent);
+}
+
+TEST(PathDbInvariant, CorruptTableWeightIsFlagged) {
+  // One weight of one pair moved by a single ulp: the audit compares bit
+  // for bit, and names the run the weight belongs to.
+  const auto topo = test::random_topology(5, 25);
+  const struct {
+    double graph::PairWeights::*field;
+    const char* run;
+  } cases[] = {{&graph::PairWeights::sl_delay, "P_sl"},
+               {&graph::PairWeights::sl_cost, "P_sl"},
+               {&graph::PairWeights::lc_delay, "P_lc"},
+               {&graph::PairWeights::lc_cost, "P_lc"}};
+  for (const auto& c : cases) {
+    graph::AllPairsPaths db(topo.graph);
+    graph::PairWeights& w = Peer::weights(db, 3, 17);
+    w.*c.field = std::nextafter(w.*c.field, graph::kUnreachable);
+    std::vector<Violation> out;
+    check_path_db(db, topo.graph, out);
+    ASSERT_EQ(out.size(), 1u) << c.run;
+    EXPECT_EQ(out[0].invariant, kPathDbConsistent);
+    EXPECT_EQ(out[0].detail.rfind(std::string(c.run) + " run from", 0), 0u)
+        << out[0].detail;
+  }
+}
+
+TEST(PathDbInvariant, CorruptRunShapeIsFlagged) {
+  const auto topo = test::random_topology(5, 25);
+  for (const bool least_cost : {false, true}) {
+    graph::AllPairsPaths db(topo.graph);
+    ++Peer::run(db, least_cost, 4).hops[9];
+    std::vector<Violation> out;
+    check_path_db(db, topo.graph, out);
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0].invariant, kPathDbConsistent);
+
+    graph::AllPairsPaths other(topo.graph);
+    Peer::run(other, least_cost, 4).parent[9] = graph::kInvalidNode;
+    out.clear();
+    check_path_db(other, topo.graph, out);
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0].invariant, kPathDbConsistent);
+  }
 }
 
 TEST(PathDbInvariant, SizeMismatchIsFlagged) {

@@ -37,8 +37,9 @@ Rules (each failure prints ``file:line: rule-id: message``):
                    to_string in src/sim/packet.cpp), so adding a packet type
                    without updating the tx-counter manifest fails lint.
   hot-path-alloc   the functions listed in HOT_PATH_FUNCS (DCDM's per-join
-                   path, the tree mutations and checks it runs, and the
-                   Dijkstra kernel) must not construct a
+                   path, the m-router's JOIN/LEAVE handlers, the path-DB
+                   row accessor, the tree mutations and checks DCDM runs,
+                   and the Dijkstra kernel) must not construct a
                    std::vector or call the allocating convenience accessors
                    (members()/on_tree_nodes()/sl_path()/lc_path()/path_to())
                    — they reuse per-instance scratch buffers instead. A
@@ -129,10 +130,14 @@ PACKET_CPP = "src/sim/packet.cpp"
 HOT_PATH_FUNCS = {
     "src/core/dcdm.cpp": ("DcdmTree::join", "DcdmTree::leave",
                           "DcdmTree::delay_bound_for"),
+    "src/core/scmp.cpp": ("Scmp::mrouter_handle_join",
+                          "Scmp::mrouter_handle_leave"),
     "src/graph/dijkstra.cpp": ("dijkstra_into",),
+    "src/graph/paths.cpp": ("AllPairsPaths::weights_to",),
     "src/graph/multicast_tree.cpp": ("MulticastTree::graft_path",
                                      "MulticastTree::prune_upward_from",
                                      "MulticastTree::refresh_below",
+                                     "MulticastTree::save_children",
                                      "MulticastTree::finish_change",
                                      "MulticastTree::node_delay",
                                      "MulticastTree::tree_delay",
