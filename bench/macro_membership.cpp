@@ -14,17 +14,25 @@
 // Each workload sweeps the epoch close interval; x = interval seconds.
 // Emitted series (BENCH_macro_membership.json, schema scmp-bench-v1):
 //
-//   <wl>/recomputes_per_event — DCDM recomputations per membership event.
-//       Deterministic (pure counter arithmetic) and committed to
-//       bench/baseline/: lower is better, so bench_diff.py flags a batching
-//       regression as a slowdown.
+//   <wl>/recomputes_per_event — tree recomputations per membership event:
+//       m-router JOIN/LEAVE requests at interval 0, net-changed groups per
+//       epoch close otherwise. Deterministic (pure counter arithmetic) and
+//       committed to bench/baseline/: lower is better, so bench_diff.py
+//       flags a batching regression as a slowdown.
+//   <wl>/dcdm_joins_per_event — DcdmTree::join calls per membership event
+//       (the DCDM work itself). Deterministic, committed.
+//   <wl>/ctrl_pkts_per_event — SCMP control-packet link transmissions
+//       (JOIN, LEAVE, TREE, BRANCH, PRUNE, CLEAR, ACK) per membership
+//       event. Deterministic, committed.
 //   <wl>/seconds_per_event — wall-clock per event. Machine-dependent, NOT
 //       committed to the baseline (bench_diff reports it informally as
 //       "new").
 //
-// The binary also enforces the ISSUE's acceptance bar directly: at the
-// flash crowd, interval=0.5 must spend at least 10x fewer recomputations
-// per event than interval=0, else it exits non-zero.
+// The binary also enforces two bars and exits non-zero if either fails: at
+// the flash crowd, interval=0.5 must spend at least 10x fewer
+// recomputations per event than interval=0; and on both workloads, every
+// interval > 0 must spend no more DCDM joins and no more control packets
+// per event than interval=0 (batching may only save work).
 #include <chrono>
 #include <cstdio>
 #include <vector>
@@ -34,6 +42,7 @@
 #include "core/scmp.hpp"
 #include "igmp/igmp.hpp"
 #include "obs/metrics.hpp"
+#include "obs/span.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/network.hpp"
 #include "topo/transit_stub.hpp"
@@ -49,8 +58,20 @@ struct RunResult {
   std::uint64_t recomputes = 0;  ///< DCDM tree computations performed
   std::uint64_t flushes = 0;     ///< epoch closes (0 in per-request mode)
   std::uint64_t coalesced = 0;   ///< groups skipped as net no-ops at a close
+  std::uint64_t dcdm_joins = 0;  ///< DcdmTree::join calls
+  std::uint64_t ctrl_pkts = 0;   ///< SCMP control-packet link transmissions
   double seconds = 0.0;          ///< wall clock for the whole storm
 };
+
+constexpr const char* kControlTypes[] = {"JOIN",  "LEAVE", "TREE", "BRANCH",
+                                         "PRUNE", "CLEAR", "ACK"};
+
+std::uint64_t control_packets() {
+  std::uint64_t total = 0;
+  for (const char* type : kControlTypes)
+    total += obs::counter("net.tx.packets", type).value();
+  return total;
+}
 
 /// Replays `events` through a fresh world at the given epoch interval.
 RunResult run_storm(const topo::Topology& topo,
@@ -85,6 +106,8 @@ RunResult run_storm(const topo::Topology& topo,
   const std::uint64_t recomputes0 = epoch_recomputes.value();
   const std::uint64_t flushes0 = epoch_flushes.value();
   const std::uint64_t coalesced0 = epoch_coalesced.value();
+  const std::uint64_t dcdm0 = obs::span_stats("dcdm.join").count();
+  const std::uint64_t ctrl0 = control_packets();
 
   const auto t0 = std::chrono::steady_clock::now();
   queue.run_all();
@@ -97,8 +120,37 @@ RunResult run_storm(const topo::Topology& topo,
                      : (joins.value() - joins0) + (leaves.value() - leaves0);
   r.flushes = epoch_flushes.value() - flushes0;
   r.coalesced = epoch_coalesced.value() - coalesced0;
+  r.dcdm_joins = obs::span_stats("dcdm.join").count() - dcdm0;
+  r.ctrl_pkts = control_packets() - ctrl0;
   r.seconds = std::chrono::duration<double>(t1 - t0).count();
   return r;
+}
+
+double per_event_of(const RunResult& r, std::uint64_t count) {
+  return r.events == 0 ? 0.0 : static_cast<double>(count) / r.events;
+}
+
+/// Batching may only save work: at each interval > 0, DCDM joins and
+/// control packets per event must not exceed the interval-0 run's.
+bool no_more_work_than_per_request(const char* workload,
+                                   const std::vector<double>& intervals,
+                                   const std::vector<RunResult>& runs) {
+  bool ok = true;
+  for (std::size_t i = 1; i < runs.size(); ++i) {
+    const bool joins_ok = runs[i].dcdm_joins <= runs[0].dcdm_joins;
+    const bool ctrl_ok = runs[i].ctrl_pkts <= runs[0].ctrl_pkts;
+    std::printf(
+        "%s interval=%g vs 0: DCDM joins/event %.4f vs %.4f %s, "
+        "ctrl pkts/event %.3f vs %.3f %s\n",
+        workload, intervals[i], per_event_of(runs[i], runs[i].dcdm_joins),
+        per_event_of(runs[0], runs[0].dcdm_joins),
+        joins_ok ? "(PASS)" : "(FAIL)",
+        per_event_of(runs[i], runs[i].ctrl_pkts),
+        per_event_of(runs[0], runs[0].ctrl_pkts),
+        ctrl_ok ? "(PASS)" : "(FAIL)");
+    ok = ok && joins_ok && ctrl_ok;
+  }
+  return ok;
 }
 
 RunningStats single(double v) {
@@ -117,15 +169,21 @@ void report(bench::BenchJson& json, const char* workload,
                       : static_cast<double>(out.recomputes) / out.events;
   std::printf(
       "  %-5s interval=%-4g  %6d events  %6llu recomputes  (%7.4f/event)  "
-      "%4llu flush(es)  %5llu coalesced  %7.3fs wall  (%.0f events/s)\n",
+      "%7.4f DCDM joins/event  %8.3f ctrl pkts/event  %4llu flush(es)  "
+      "%5llu coalesced  %7.3fs wall  (%.0f events/s)\n",
       workload, interval, out.events,
       static_cast<unsigned long long>(out.recomputes), per_event,
+      per_event_of(out, out.dcdm_joins), per_event_of(out, out.ctrl_pkts),
       static_cast<unsigned long long>(out.flushes),
       static_cast<unsigned long long>(out.coalesced), out.seconds,
       out.seconds > 0.0 ? out.events / out.seconds : 0.0);
   const std::string prefix = std::string(workload) + "/";
   json.add_point(prefix + "recomputes_per_event", interval,
                  single(per_event));
+  json.add_point(prefix + "dcdm_joins_per_event", interval,
+                 single(per_event_of(out, out.dcdm_joins)));
+  json.add_point(prefix + "ctrl_pkts_per_event", interval,
+                 single(per_event_of(out, out.ctrl_pkts)));
   json.add_point(prefix + "seconds_per_event", interval,
                  single(out.events == 0 ? 0.0 : out.seconds / out.events));
 }
@@ -164,21 +222,26 @@ int main(int argc, char** argv) {
   const std::vector<topo::MemberEvent> zipf =
       topo::zipf_churn(zcfg, n, zipf_rng);
 
-  RunResult flash_base, flash_batched, scratch;
-  report(json, "flash", topo, flash, 0.0, flash_base);
-  report(json, "flash", topo, flash, 0.5, flash_batched);
-  report(json, "flash", topo, flash, 1.0, scratch);
-  report(json, "flash", topo, flash, 2.0, scratch);
+  const std::vector<double> flash_intervals = {0.0, 0.5, 1.0, 2.0};
+  const std::vector<double> zipf_intervals = {0.0, 0.5};
+  std::vector<RunResult> flash_runs(flash_intervals.size());
+  std::vector<RunResult> zipf_runs(zipf_intervals.size());
+  for (std::size_t i = 0; i < flash_intervals.size(); ++i)
+    report(json, "flash", topo, flash, flash_intervals[i], flash_runs[i]);
   std::printf("\n");
-  report(json, "zipf", topo, zipf, 0.0, scratch);
-  report(json, "zipf", topo, zipf, 0.5, scratch);
+  for (std::size_t i = 0; i < zipf_intervals.size(); ++i)
+    report(json, "zipf", topo, zipf, zipf_intervals[i], zipf_runs[i]);
 
   // Acceptance bar: the flash crowd must see >= 10x fewer recomputations
   // per event at interval=0.5 than per-request processing pays.
-  const double base = static_cast<double>(flash_base.recomputes);
-  const double batched = static_cast<double>(flash_batched.recomputes);
+  const double base = static_cast<double>(flash_runs[0].recomputes);
+  const double batched = static_cast<double>(flash_runs[1].recomputes);
   const double ratio = batched > 0.0 ? base / batched : 0.0;
   std::printf("\nflash recompute reduction at interval=0.5: %.1fx %s\n",
               ratio, ratio >= 10.0 ? "(PASS, bar is 10x)" : "(FAIL)");
-  return ratio >= 10.0 ? 0 : 1;
+  const bool flash_ok =
+      no_more_work_than_per_request("flash", flash_intervals, flash_runs);
+  const bool zipf_ok =
+      no_more_work_than_per_request("zipf", zipf_intervals, zipf_runs);
+  return ratio >= 10.0 && flash_ok && zipf_ok ? 0 : 1;
 }

@@ -229,9 +229,9 @@ CheckOutcome ChurnModelChecker::replay(
   // reconciled to their fixpoints — batched and sequential must agree on the
   // service database's membership and on each tree's member set, and the
   // shadow must pass the full invariant catalog itself. The *internal* tree
-  // shapes may legitimately differ: per-request processing grafts members in
-  // arrival order onto a tree carrying relay residue of past members, while
-  // the epoch close recomputes canonically from the final membership.
+  // shapes may legitimately differ: per-request processing grafts every
+  // member as its JOIN arrives, while the epoch close replays only the
+  // epoch's net delta, so joins that cancel out never graft.
   std::unique_ptr<World> shadow;
   std::unique_ptr<InvariantAuditor> shadow_auditor;
   if (cfg_.epoch_interval > 0.0) {

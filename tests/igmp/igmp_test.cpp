@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 namespace scmp::igmp {
 namespace {
 
@@ -109,6 +111,19 @@ TEST_F(IgmpTest, MemberRouters) {
   domain_.host_join(1, 0, 100, 7);
   domain_.host_join(3, 0, 200, 7);
   EXPECT_EQ(domain_.member_routers(7), (std::vector<graph::NodeId>{1, 3}));
+}
+
+TEST_F(IgmpTest, MemberRoutersByGroupMatchesPerGroupQueries) {
+  domain_.host_join(3, 0, 200, 7);
+  domain_.host_join(1, 0, 100, 7);
+  domain_.host_join(1, 1, 101, 8);
+  domain_.host_join(2, 0, 102, 9);
+  domain_.host_leave(2, 0, 102, 9);  // an emptied group is not listed
+  const std::map<GroupId, std::vector<graph::NodeId>> want = {
+      {7, {1, 3}}, {8, {1}}};
+  EXPECT_EQ(domain_.member_routers_by_group(), want);
+  for (const auto& [group, routers] : want)
+    EXPECT_EQ(domain_.member_routers(group), routers);
 }
 
 TEST_F(IgmpTest, MessageCounting) {
