@@ -73,6 +73,29 @@ void TreeComputePool::for_each_index(
   for (auto& t : pool) t.join();
 }
 
+std::vector<DcdmTree> build_group_trees(
+    const graph::Graph& g, const graph::AllPairsPaths& paths,
+    const std::vector<graph::NodeId>& roots,
+    const std::vector<GroupMembership>& groups, const DcdmConfig& cfg,
+    const graph::ParallelFor& pf) {
+  SCMP_EXPECTS(roots.size() == groups.size());
+  // Index-addressed slots: the builds never touch shared structures.
+  std::vector<DcdmTree> slots;
+  slots.reserve(groups.size());
+  for (graph::NodeId root : roots) slots.emplace_back(g, paths, root, cfg);
+  // Each join's validate() reads the CSR view: build it before any worker.
+  g.csr();
+  const auto build = [&](std::size_t i) {
+    for (graph::NodeId member : groups[i].join_order) slots[i].join(member);
+  };
+  if (pf) {
+    pf(groups.size(), build);
+  } else {
+    for (std::size_t i = 0; i < groups.size(); ++i) build(i);
+  }
+  return slots;
+}
+
 std::map<GroupId, DcdmTree> TreeComputePool::build_trees(
     graph::NodeId root, const std::vector<GroupMembership>& groups,
     const DcdmConfig& cfg) const {
@@ -84,20 +107,9 @@ std::map<GroupId, DcdmTree> TreeComputePool::build_trees(
     for (graph::NodeId member : gm.join_order) SCMP_EXPECTS(g_->valid(member));
   }
 
-  // Build into an index-addressed vector of slots, then move into the map:
-  // workers never touch shared structures.
-  std::vector<DcdmTree> slots;
-  slots.reserve(groups.size());
-  for (std::size_t i = 0; i < groups.size(); ++i)
-    slots.emplace_back(*g_, *paths_, root, cfg);
-
-  // Each join's validate() reads the graph's CSR view: warm its lazy build
-  // here, on this thread, so the workers only ever read it.
-  g_->csr();
-  for_each_index(groups.size(), [&](std::size_t i) {
-    for (graph::NodeId member : groups[i].join_order) slots[i].join(member);
-  });
-
+  std::vector<DcdmTree> slots = build_group_trees(
+      *g_, *paths_, std::vector<graph::NodeId>(groups.size(), root), groups,
+      cfg, parallel_for());
   std::map<GroupId, DcdmTree> out;
   for (std::size_t i = 0; i < groups.size(); ++i)
     out.emplace(groups[i].group, std::move(slots[i]));

@@ -31,6 +31,18 @@ struct GroupMembership {
   std::vector<graph::NodeId> join_order;
 };
 
+/// Builds the DCDM tree of each group into its own slot: slot i is rooted
+/// at roots[i] and joins groups[i].join_order in order (an empty order
+/// leaves the bare root). `pf` runs the per-group builds, serially when
+/// empty; each build writes only its own slot, so the trees do not depend
+/// on the executor. The graph's lazy CSR view is built on the calling
+/// thread first, so the builds only ever read it.
+std::vector<DcdmTree> build_group_trees(
+    const graph::Graph& g, const graph::AllPairsPaths& paths,
+    const std::vector<graph::NodeId>& roots,
+    const std::vector<GroupMembership>& groups, const DcdmConfig& cfg,
+    const graph::ParallelFor& pf);
+
 /// Thread-safety: the pool is share-nothing by construction. Workers
 /// receive disjoint index ranges and write only into caller-provided
 /// per-index slots; the only cross-thread state is the read-only graph and
@@ -50,8 +62,9 @@ class TreeComputePool {
 
   int thread_count() const { return threads_; }
 
-  /// Builds the DCDM tree of every group concurrently. Deterministic: the
-  /// result for a group depends only on (root, cfg, join_order).
+  /// Builds the DCDM tree of every (non-empty) group concurrently with
+  /// build_group_trees. Deterministic: the result for a group depends only
+  /// on (root, cfg, join_order).
   std::map<GroupId, DcdmTree> build_trees(
       graph::NodeId root, const std::vector<GroupMembership>& groups,
       const DcdmConfig& cfg) const;
